@@ -49,6 +49,10 @@ type Worker struct {
 	// overheads) for utilization accounting.
 	busy      time.Duration
 	busySince sim.Time
+	// done completes the request Run started on this worker. It is
+	// built once: a worker runs one request at a time, so the event
+	// needs no per-request closure and reads cur when it fires.
+	done func()
 }
 
 // Idle reports whether the worker has no request or overhead running.
@@ -96,6 +100,11 @@ type Machine struct {
 	// recorded (used by time-series experiments).
 	OnComplete func(r *Request, at sim.Time)
 
+	// slab is the unused tail of the chunk Arrive carves requests
+	// from. Requests are never reused: policies, OnComplete hooks and
+	// fan-out bookkeeping may keep the pointer after completion.
+	slab []Request
+
 	nextID    uint64
 	completed uint64
 	arrived   uint64
@@ -109,7 +118,9 @@ func NewMachine(s *sim.Sim, workers int, p Policy, rec *metrics.Recorder) *Machi
 	}
 	m := &Machine{Sim: s, Policy: p, Recorder: rec}
 	for i := 0; i < workers; i++ {
-		m.Workers = append(m.Workers, &Worker{ID: i, busySince: -1})
+		w := &Worker{ID: i, busySince: -1}
+		w.done = func() { m.runDone(w) }
+		m.Workers = append(m.Workers, w)
 	}
 	p.Init(m)
 	return m
@@ -118,7 +129,12 @@ func NewMachine(s *sim.Sim, workers int, p Policy, rec *metrics.Recorder) *Machi
 // Arrive injects a request of the given type and service demand at the
 // current virtual instant.
 func (m *Machine) Arrive(typ int, service time.Duration) *Request {
-	r := &Request{
+	if len(m.slab) == 0 {
+		m.slab = make([]Request, requestChunk)
+	}
+	r := &m.slab[0]
+	m.slab = m.slab[1:]
+	*r = Request{
 		ID:            m.nextID,
 		Type:          typ,
 		Service:       service,
@@ -132,18 +148,25 @@ func (m *Machine) Arrive(typ int, service time.Duration) *Request {
 	return r
 }
 
+// requestChunk is how many requests Arrive allocates at once.
+const requestChunk = 256
+
 // Run starts non-preemptive service of r on idle worker w: the worker
 // is occupied for r.Remaining, then the completion is recorded and the
 // policy regains the worker.
 func (m *Machine) Run(w *Worker, r *Request) {
 	m.begin(w, r)
-	m.Sim.After(r.Remaining, func() {
-		r.Remaining = 0
-		m.finish(w, r)
-		m.complete(r)
-		m.notifyCompleted(w, r)
-		m.Policy.WorkerFree(w)
-	})
+	m.Sim.After(r.Remaining, w.done)
+}
+
+// runDone completes the request Run started on w.
+func (m *Machine) runDone(w *Worker) {
+	r := w.cur
+	r.Remaining = 0
+	m.finish(w, r)
+	m.complete(r)
+	m.notifyCompleted(w, r)
+	m.Policy.WorkerFree(w)
 }
 
 // RunSlice starts preemptive service of r on idle worker w for at most
@@ -181,7 +204,7 @@ type RunHandle struct {
 	w     *Worker
 	r     *Request
 	start sim.Time
-	ev    *eventq.Event
+	ev    eventq.Handle
 	done  bool
 }
 

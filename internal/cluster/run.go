@@ -98,29 +98,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	s := sim.New()
-	rec := metrics.NewRecorder(len(mix.Types), mix.TypeNames())
-	warmup := time.Duration(float64(cfg.Duration) * cfg.WarmupFraction)
-	rec.SetWarmup(warmup)
-	rec.SetRTT(cfg.RTT)
-	rec.SetSpan(warmup, cfg.Duration)
-
-	policy := cfg.NewPolicy()
-	m := NewMachine(s, cfg.Workers, policy, rec)
-
-	var series *metrics.TimeSeries
-	if cfg.TrackWindow > 0 {
-		series = metrics.NewTimeSeries(cfg.TrackWindow)
-	}
-	m.OnComplete = func(r *Request, at sim.Time) {
-		if series != nil {
-			series.Record(at, r.Type, int64(at-r.Arrival))
-		}
-		if cfg.OnComplete != nil {
-			cfg.OnComplete(r, at)
-		}
-	}
-
+	s, m, series := newRun(cfg, len(mix.Types), mix.TypeNames(), cfg.Duration)
 	src, err := workload.NewSource(mix, rate, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
@@ -143,30 +121,59 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Open-loop arrivals: each arrival schedules its successor.
-	var scheduleNext func()
-	scheduleNext = func() {
-		a := src.Next()
-		s.After(a.Gap, func() {
-			m.Arrive(a.Type, a.Service)
-			scheduleNext()
-		})
+	// Open-loop arrivals: each arrival draws and schedules its
+	// successor, through one callback for the whole run.
+	next := src.Next()
+	var arrive func()
+	arrive = func() {
+		m.Arrive(next.Type, next.Service)
+		next = src.Next()
+		s.After(next.Gap, arrive)
 	}
-	scheduleNext()
+	s.After(next.Gap, arrive)
 
 	s.RunUntil(cfg.Duration)
+	return result(m, series, rate, cfg.Duration), nil
+}
 
-	busy := make([]float64, cfg.Workers)
+// newRun builds the simulator, recorder and machine of one run over
+// the given horizon and wires completions to the time series (when
+// TrackWindow is set) and to cfg.OnComplete.
+func newRun(cfg Config, numTypes int, names []string, duration time.Duration) (*sim.Sim, *Machine, *metrics.TimeSeries) {
+	s := sim.New()
+	rec := metrics.NewRecorder(numTypes, names)
+	warmup := time.Duration(float64(duration) * cfg.WarmupFraction)
+	rec.SetWarmup(warmup)
+	rec.SetRTT(cfg.RTT)
+	rec.SetSpan(warmup, duration)
+	m := NewMachine(s, cfg.Workers, cfg.NewPolicy(), rec)
+	if cfg.TrackWindow <= 0 {
+		m.OnComplete = cfg.OnComplete
+		return s, m, nil
+	}
+	series := metrics.NewTimeSeries(cfg.TrackWindow)
+	m.OnComplete = func(r *Request, at sim.Time) {
+		series.Record(at, r.Type, int64(at-r.Arrival))
+		if cfg.OnComplete != nil {
+			cfg.OnComplete(r, at)
+		}
+	}
+	return s, m, series
+}
+
+// result collects a finished run.
+func result(m *Machine, series *metrics.TimeSeries, rate float64, duration time.Duration) *Result {
+	busy := make([]float64, len(m.Workers))
 	for i := range busy {
 		busy[i] = m.WorkerUtilization(i)
 	}
 	return &Result{
-		Policy:     policy.Name(),
-		Recorder:   rec,
+		Policy:     m.Policy.Name(),
+		Recorder:   m.Recorder,
 		Machine:    m,
 		Series:     series,
 		OfferedRPS: rate,
-		Duration:   cfg.Duration,
+		Duration:   duration,
 		WorkerBusy: busy,
-	}, nil
+	}
 }

@@ -3,9 +3,6 @@ package cluster
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // runTrace executes a trace-replay run: arrivals come verbatim from
@@ -28,57 +25,22 @@ func runTrace(cfg Config) (*Result, error) {
 		duration = tr.Duration() + time.Millisecond
 	}
 
-	s := sim.New()
-	rec := metrics.NewRecorder(numTypes, names)
-	warmup := time.Duration(float64(duration) * cfg.WarmupFraction)
-	rec.SetWarmup(warmup)
-	rec.SetRTT(cfg.RTT)
-	rec.SetSpan(warmup, duration)
+	s, m, series := newRun(cfg, numTypes, names, duration)
 
-	policy := cfg.NewPolicy()
-	m := NewMachine(s, cfg.Workers, policy, rec)
-
-	var series *metrics.TimeSeries
-	if cfg.TrackWindow > 0 {
-		series = metrics.NewTimeSeries(cfg.TrackWindow)
-	}
-	m.OnComplete = func(r *Request, at sim.Time) {
-		if series != nil {
-			series.Record(at, r.Type, int64(at-r.Arrival))
-		}
-		if cfg.OnComplete != nil {
-			cfg.OnComplete(r, at)
+	// Replay lazily: each arrival schedules its successor, through one
+	// callback, so the event queue stays small even for
+	// multi-million-record traces.
+	next := 0
+	var arrive func()
+	arrive = func() {
+		r := tr.Records[next]
+		m.Arrive(r.Type, r.Service)
+		if next++; next < tr.Len() {
+			s.At(tr.Records[next].Offset, arrive)
 		}
 	}
-
-	// Replay lazily: each arrival schedules its successor, so the
-	// event queue stays small even for multi-million-record traces.
-	var scheduleIdx func(i int)
-	scheduleIdx = func(i int) {
-		if i >= tr.Len() {
-			return
-		}
-		r := tr.Records[i]
-		s.At(r.Offset, func() {
-			m.Arrive(r.Type, r.Service)
-			scheduleIdx(i + 1)
-		})
-	}
-	scheduleIdx(0)
+	s.At(tr.Records[0].Offset, arrive)
 
 	s.RunUntil(duration)
-
-	busy := make([]float64, cfg.Workers)
-	for i := range busy {
-		busy[i] = m.WorkerUtilization(i)
-	}
-	return &Result{
-		Policy:     policy.Name(),
-		Recorder:   rec,
-		Machine:    m,
-		Series:     series,
-		OfferedRPS: tr.Rate(),
-		Duration:   duration,
-		WorkerBusy: busy,
-	}, nil
+	return result(m, series, tr.Rate(), duration), nil
 }

@@ -30,6 +30,9 @@ type Controller struct {
 	pressure     bool
 	lastSnapshot []TypeStats
 
+	// order is DispatchOrder's result buffer, one slot per type.
+	order []int
+
 	// desiredSpillway remembers the configured spillway width so a
 	// Resize down to a tiny pool (where that many spillway cores would
 	// leave no schedulable workers) can clamp to zero and a later
@@ -51,6 +54,7 @@ func NewController(cfg Config, numTypes int) (*Controller, error) {
 		cfg:             cfg,
 		prof:            NewProfiler(numTypes, cfg.EWMAAlpha),
 		desiredSpillway: cfg.Spillway,
+		order:           make([]int, numTypes),
 	}, nil
 }
 
@@ -103,11 +107,14 @@ func (c *Controller) MaybeUpdate() bool {
 	if c.prof.WindowSamples() < c.cfg.MinWindowSamples {
 		return false
 	}
+	cur := c.res.Load()
+	if cur != nil && !c.pressure {
+		// Checked before the snapshot: with a reservation installed and
+		// a full window, this is the common case on every completion.
+		return false
+	}
 	snapshot := c.prof.Snapshot()
-	if cur := c.res.Load(); cur != nil {
-		if !c.pressure {
-			return false
-		}
+	if cur != nil {
 		demands := demandsOf(snapshot)
 		if !DemandDeviates(cur.Demands, demands, c.cfg.DemandDeviation) {
 			// Pressure without a composition change: stay put, but
@@ -201,10 +208,11 @@ func (c *Controller) ForceUpdate() bool {
 // DispatchOrder returns type IDs sorted by ascending profiled service
 // time — the order Algorithm 1 scans typed queues in. Unknown types
 // are not included (the caller services the UNKNOWN queue on spillway
-// cores last).
+// cores last). The slice is the controller's own buffer: it is valid
+// until the next DispatchOrder call and must not be modified.
 func (c *Controller) DispatchOrder() []int {
-	n := c.prof.NumTypes()
-	order := make([]int, n)
+	order := c.order
+	n := len(order)
 	for i := range order {
 		order[i] = i
 	}

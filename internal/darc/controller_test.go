@@ -1,6 +1,7 @@
 package darc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -225,5 +226,71 @@ func TestControllerDispatchOrder(t *testing.T) {
 func TestControllerConfigValidation(t *testing.T) {
 	if _, err := NewController(Config{Workers: 0}, 2); err == nil {
 		t.Fatal("zero workers accepted")
+	}
+}
+
+// TestControllerDispatchOrderTiesAfterReuse checks that the reused
+// order buffer restarts from identity on every call: types with equal
+// means keep ascending ID order however the previous call sorted them.
+func TestControllerDispatchOrderTiesAfterReuse(t *testing.T) {
+	ctl, err := NewController(Config{Workers: 4, MinWindowSamples: 10}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Observe(0, 9*time.Microsecond)
+	ctl.Observe(1, 5*time.Microsecond)
+	ctl.Observe(2, time.Microsecond)
+	if got := fmt.Sprint(ctl.DispatchOrder()); got != "[2 1 0]" {
+		t.Fatalf("order %s, want [2 1 0]", got)
+	}
+	// One EWMA step at alpha 1 sets every mean to the same value.
+	ctl.prof.alpha = 1
+	for typ := 0; typ < 3; typ++ {
+		ctl.Observe(typ, 3*time.Microsecond)
+	}
+	if got := fmt.Sprint(ctl.DispatchOrder()); got != "[0 1 2]" {
+		t.Fatalf("tied order %s, want [0 1 2]", got)
+	}
+}
+
+func TestControllerDispatchOrderZeroAlloc(t *testing.T) {
+	ctl := newTestController(t, 10)
+	feedHighBimodal(ctl, 10)
+	var order []int
+	if avg := testing.AllocsPerRun(1000, func() { order = ctl.DispatchOrder() }); avg != 0 {
+		t.Fatalf("DispatchOrder allocates %.2f objects per call, want 0", avg)
+	}
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("order %v, want [0 1]", order)
+	}
+}
+
+// TestControllerMaybeUpdateZeroAlloc covers the per-completion call
+// once a reservation is installed and the window is full: without
+// queueing-delay pressure it must neither allocate nor update.
+func TestControllerMaybeUpdateZeroAlloc(t *testing.T) {
+	ctl := newTestController(t, 100)
+	feedHighBimodal(ctl, 100)
+	if !ctl.MaybeUpdate() {
+		t.Fatal("first reservation not installed")
+	}
+	feedHighBimodal(ctl, 100)
+	avg := testing.AllocsPerRun(1000, func() {
+		ctl.Observe(0, time.Microsecond)
+		ctl.MaybeUpdate()
+	})
+	if avg != 0 {
+		t.Fatalf("MaybeUpdate allocates %.2f objects per call without pressure, want 0", avg)
+	}
+	if ctl.Updates() != 1 {
+		t.Fatalf("%d updates without pressure, want 1", ctl.Updates())
+	}
+	// Before the window fills, the call is free too.
+	fresh := newTestController(t, 1_000_000)
+	if avg := testing.AllocsPerRun(1000, func() {
+		fresh.Observe(1, 100*time.Microsecond)
+		fresh.MaybeUpdate()
+	}); avg != 0 {
+		t.Fatalf("MaybeUpdate allocates %.2f objects per call in the startup window, want 0", avg)
 	}
 }

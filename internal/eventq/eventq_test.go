@@ -146,3 +146,85 @@ func TestHeapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCancelStaleHandle fires an event, lets a new Push reuse its
+// record, and cancels through the old handle: the cancel must report
+// false and leave the new event queued.
+func TestCancelStaleHandle(t *testing.T) {
+	var q Queue
+	old := q.Push(1, func() {})
+	h := old.Handle()
+	e := q.Pop()
+	e.Fn()
+	q.Release(e)
+	fired := false
+	reused := q.Push(2, func() { fired = true })
+	if reused != old {
+		t.Fatal("Push did not reuse the released record")
+	}
+	if q.CancelHandle(h) {
+		t.Fatal("Cancel through a stale handle reported success")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("queue has %d events after a stale cancel, want 1", q.Len())
+	}
+	q.Pop().Fn()
+	if !fired {
+		t.Fatal("the event in the reused record did not fire")
+	}
+}
+
+func TestCancelHandle(t *testing.T) {
+	var q Queue
+	h := q.Push(10, func() { t.Fatal("cancelled event fired") }).Handle()
+	if !q.CancelHandle(h) {
+		t.Fatal("CancelHandle reported failure for a queued event")
+	}
+	if q.CancelHandle(h) || q.CancelHandle(Handle{}) {
+		t.Fatal("CancelHandle of a cancelled or zero handle reported success")
+	}
+	// The cancelled record was released and serves the next Push.
+	if e := q.Push(20, func() {}); e != h.e || q.Len() != 1 {
+		t.Fatal("cancelled record not reused")
+	}
+}
+
+func TestReleaseMisuse(t *testing.T) {
+	var q Queue
+	queued := q.Push(1, func() {})
+	mustPanic(t, "Release of a queued event", func() { q.Release(queued) })
+	e := q.Pop()
+	q.Release(e)
+	mustPanic(t, "double Release", func() { q.Release(e) })
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestPushPopZeroAlloc holds the steady state — pop the earliest
+// event, release it, schedule a successor — to zero allocations.
+func TestPushPopZeroAlloc(t *testing.T) {
+	var q Queue
+	noop := func() {}
+	for i := 0; i < 16; i++ {
+		q.Push(time.Duration(i*37%16), noop)
+	}
+	var step time.Duration
+	avg := testing.AllocsPerRun(1000, func() {
+		e := q.Pop()
+		at := e.At
+		q.Release(e)
+		step = step*7 + 13
+		q.Push(at+step%100, noop)
+	})
+	if avg != 0 {
+		t.Fatalf("Push+Pop allocates %.2f objects per op, want 0", avg)
+	}
+}

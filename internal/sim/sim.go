@@ -33,24 +33,27 @@ func (s *Sim) Now() Time { return s.now }
 // cost measure for experiments.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// At schedules fn to run at virtual time t. Scheduling in the past
-// (before Now) panics: it always indicates a modelling bug.
-func (s *Sim) At(t Time, fn func()) *eventq.Event {
+// At schedules fn to run at virtual time t and returns a handle for
+// Cancel, valid until the event fires or is cancelled. Scheduling in
+// the past (before Now) panics: it always indicates a modelling bug.
+func (s *Sim) At(t Time, fn func()) eventq.Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	return s.events.Push(t, fn)
+	return s.events.Push(t, fn).Handle()
 }
 
 // After schedules fn to run d from now.
-func (s *Sim) After(d time.Duration, fn func()) *eventq.Event {
+func (s *Sim) After(d time.Duration, fn func()) eventq.Handle {
 	return s.At(s.now+d, fn)
 }
 
-// Cancel removes a pending event; see eventq.Queue.Cancel.
-func (s *Sim) Cancel(e *eventq.Event) bool { return s.events.Cancel(e) }
+// Cancel removes a pending event; see eventq.Queue.CancelHandle.
+func (s *Sim) Cancel(h eventq.Handle) bool { return s.events.CancelHandle(h) }
 
-// Step fires the next event and reports whether one existed.
+// Step fires the next event and reports whether one existed. The
+// event's record goes back to the queue before its action runs, so
+// the events the action schedules reuse it.
 func (s *Sim) Step() bool {
 	e := s.events.Pop()
 	if e == nil {
@@ -58,7 +61,9 @@ func (s *Sim) Step() bool {
 	}
 	s.now = e.At
 	s.fired++
-	e.Fn()
+	fn := e.Fn
+	s.events.Release(e)
+	fn()
 	return true
 }
 

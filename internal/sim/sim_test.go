@@ -138,3 +138,33 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelAfterFireIsStale fires an event whose record the next
+// scheduling reuses; cancelling through the fired event's handle must
+// fail and leave the new event to fire.
+func TestCancelAfterFireIsStale(t *testing.T) {
+	s := New()
+	old := s.After(1, func() {})
+	s.Step()
+	fired := false
+	s.After(1, func() { fired = true })
+	if s.Cancel(old) {
+		t.Fatal("Cancel of a fired event reported success")
+	}
+	s.Run()
+	if !fired {
+		t.Fatal("event scheduled after the stale cancel did not fire")
+	}
+}
+
+// TestStepZeroAlloc: a self-rescheduling event fires and reschedules
+// without allocating.
+func TestStepZeroAlloc(t *testing.T) {
+	s := New()
+	var tick func()
+	tick = func() { s.After(time.Microsecond, tick) }
+	s.After(0, tick)
+	if avg := testing.AllocsPerRun(1000, func() { s.Step() }); avg != 0 {
+		t.Fatalf("Step allocates %.2f objects per event, want 0", avg)
+	}
+}
